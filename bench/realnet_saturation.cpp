@@ -10,12 +10,10 @@
 //              transport behavior)
 //   coalesce1  1 reactor, epoll, end-of-iteration writev coalescing
 //   coalesce4  4 reactors (SO_REUSEPORT), epoll, coalescing
-//   uring4     4 reactors, io_uring poller, coalescing — skipped
-//              cleanly when the kernel/sandbox lacks io_uring
 //
 // One JSON line per arm:
 //   {"experiment":"A13","arm":"coalesce4","net_threads":4,
-//    "backend":"epoll","flush":"coalesce","connections":4,"window":64,
+//    "flush":"coalesce","connections":4,"window":64,
 //    "rpcs_per_sec":...,"p50_us":...,"p99_us":...,
 //    "syscalls_per_rpc":...,"completed":...,"errors":...}
 //
@@ -26,17 +24,14 @@
 #include <string.h>
 
 #include <cstdio>
-#include <string>
 
 #include "bench/harness.h"
-#include "net/poller.h"
 
 namespace {
 
 struct Arm {
   const char* name;
   int net_threads;
-  const char* backend;
   bool coalesce;
 };
 
@@ -44,18 +39,16 @@ lo::bench::SaturationResult RunArm(const Arm& arm,
                                    const lo::bench::SaturationConfig& base) {
   lo::bench::SaturationConfig config = base;
   config.net_threads = arm.net_threads;
-  config.backend = arm.backend;
   config.coalesce = arm.coalesce;
   lo::bench::SaturationResult result = lo::bench::RunRealNetSaturation(config);
   std::printf(
       "{\"experiment\":\"A13\",\"arm\":\"%s\",\"net_threads\":%d,"
-      "\"backend\":\"%s\",\"flush\":\"%s\",\"connections\":%d,\"window\":%d,"
+      "\"flush\":\"%s\",\"connections\":%d,\"window\":%d,"
       "\"rpcs_per_sec\":%.0f,\"p50_us\":%.0f,\"p99_us\":%.0f,"
       "\"syscalls_per_rpc\":%.3f,\"completed\":%llu,\"errors\":%llu}\n",
-      arm.name, result.reactors, result.backend.c_str(),
-      arm.coalesce ? "coalesce" : "immediate", config.connections,
-      config.window, result.rpcs_per_sec, result.p50_us, result.p99_us,
-      result.syscalls_per_rpc,
+      arm.name, result.reactors, arm.coalesce ? "coalesce" : "immediate",
+      config.connections, config.window, result.rpcs_per_sec, result.p50_us,
+      result.p99_us, result.syscalls_per_rpc,
       static_cast<unsigned long long>(result.completed),
       static_cast<unsigned long long>(result.errors));
   std::fflush(stdout);
@@ -79,10 +72,9 @@ int main(int argc, char** argv) {
     base.connections = 2;
   }
 
-  const Arm kBaseline = {"baseline", 1, "epoll", false};
-  const Arm kCoalesce1 = {"coalesce1", 1, "epoll", true};
-  const Arm kCoalesce4 = {"coalesce4", 4, "epoll", true};
-  const Arm kUring4 = {"uring4", 4, "uring", true};
+  const Arm kBaseline = {"baseline", 1, false};
+  const Arm kCoalesce1 = {"coalesce1", 1, true};
+  const Arm kCoalesce4 = {"coalesce4", 4, true};
 
   lo::bench::SaturationResult baseline = RunArm(kBaseline, base);
   lo::bench::SaturationResult coalesce4{};
@@ -91,13 +83,6 @@ int main(int argc, char** argv) {
   } else {
     RunArm(kCoalesce1, base);
     coalesce4 = RunArm(kCoalesce4, base);
-    if (lo::net::UringAvailable()) {
-      RunArm(kUring4, base);
-    } else {
-      std::printf(
-          "{\"experiment\":\"A13\",\"arm\":\"uring4\",\"skipped\":"
-          "\"io_uring unavailable on this kernel/sandbox\"}\n");
-    }
     double speedup = baseline.rpcs_per_sec > 0
                          ? coalesce4.rpcs_per_sec / baseline.rpcs_per_sec
                          : 0;

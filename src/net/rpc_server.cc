@@ -50,7 +50,7 @@ Status RpcServer::Start() {
 
   reactors_.reserve(static_cast<size_t>(net_threads));
   for (int i = 0; i < net_threads; ++i) {
-    auto reactor = std::make_unique<Reactor>(options_.backend);
+    auto reactor = std::make_unique<Reactor>();
     reactor->index = i;
     reactors_.push_back(std::move(reactor));
   }
@@ -137,11 +137,6 @@ void RpcServer::Stop() {
   }
   for (auto& reactor_ptr : reactors_) reactor_ptr->thread.join();
   started_ = false;
-}
-
-const char* RpcServer::backend_name() const {
-  return reactors_.empty() ? NetBackendName(options_.backend)
-                           : reactors_[0]->loop.backend_name();
 }
 
 uint64_t RpcServer::poll_waits() const {

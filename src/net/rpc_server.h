@@ -64,8 +64,6 @@ struct RpcServerOptions {
   /// Reactor threads (one EventLoop + listener each). 0 reads
   /// LO_NET_THREADS, defaulting to 1.
   int net_threads = 0;
-  /// Poller backend for every reactor; default follows LO_NET_BACKEND.
-  NetBackend backend = NetBackendFromEnv();
   /// End-of-iteration writev coalescing. false = flush each response
   /// with its own write() immediately (the pre-sharding behavior, kept
   /// as the syscalls-per-RPC ablation baseline).
@@ -124,9 +122,6 @@ class RpcServer {
   uint16_t port() const { return port_; }
   /// Reactor threads actually running (after Start).
   int reactors() const { return static_cast<int>(reactors_.size()); }
-  /// Poller actually in use ("epoll"/"uring") — may differ from the
-  /// requested backend when io_uring is unavailable. Valid after Start.
-  const char* backend_name() const;
   /// True when each reactor has its own SO_REUSEPORT listener; false in
   /// the single-acceptor round-robin fallback.
   bool reuseport_sharding() const { return reuseport_sharding_; }
@@ -179,8 +174,6 @@ class RpcServer {
     uint64_t next_conn_seq = 1;
     std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns;
     std::vector<uint64_t> flush_list;  // dirty connections this iteration
-
-    explicit Reactor(NetBackend backend) : loop(backend) {}
   };
 
   void AcceptReady(Reactor* reactor);

@@ -2,8 +2,10 @@
 // the DB facade (recovery, snapshots, iterators, compaction), plus a
 // randomized model check against std::map with crash/reopen injection.
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
 #include <atomic>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
@@ -31,6 +33,25 @@ namespace lo::storage {
 namespace {
 
 // ------------------------------------------------------------------- Env
+
+/// A fresh directory under the test temp root, removed with its contents
+/// when the test ends.
+class TempDir {
+ public:
+  TempDir() {
+    std::string pattern = ::testing::TempDir() + "lo_test_XXXXXX";
+    EXPECT_NE(mkdtemp(pattern.data()), nullptr);
+    path_ = pattern;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 TEST(MemEnv, WriteReadRoundTrip) {
   MemEnv env;
@@ -110,6 +131,39 @@ TEST(PosixEnvTest, RealFilesystemRoundTrip) {
   EXPECT_EQ((*names)[0], "renamed");
   ASSERT_TRUE(env.DeleteFile(dir + "/renamed").ok());
   EXPECT_FALSE(env.FileExists(dir + "/renamed"));
+}
+
+TEST(PosixEnvTest, ConcurrentReadsReturnTheirOwnBytes) {
+  // One open file shared by readers on many threads, as sub-compactions
+  // and execution lanes share a table file.
+  PosixEnv env;
+  TempDir dir;
+  std::string path = dir.path() + "/file";
+  Rng fill(7);
+  std::string contents(1 << 20, '\0');
+  for (char& byte : contents) byte = static_cast<char>(fill.Uniform(256));
+  ASSERT_TRUE(env.WriteStringToFile(path, contents, true).ok());
+  auto file = env.NewRandomAccessFile(path);
+  ASSERT_TRUE(file.ok());
+  EXPECT_EQ((*file)->Size(), contents.size());
+
+  constexpr int kThreads = 8, kReadsPerThread = 2000;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      Rng rng(100 + t);
+      std::string out;
+      for (int i = 0; i < kReadsPerThread; i++) {
+        uint64_t offset = rng.Uniform(contents.size());
+        size_t n = 1 + rng.Uniform(4096);
+        Status read = (*file)->Read(offset, n, &out);
+        if (!read.ok() || out != contents.substr(offset, n)) wrong++;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0) << "of " << kThreads * kReadsPerThread;
 }
 
 TEST(PosixEnvTest, WholeDbOnRealFilesystem) {
@@ -1651,22 +1705,31 @@ std::string CompactedDump(DB* db, uint64_t seed) {
 }
 
 TEST(Subcompaction, OutputMatchesSingleThreadedCompaction) {
-  auto run = [](int subcompactions) {
-    MemEnv env;
+  auto run = [](Env* env, const std::string& dbname, int subcompactions) {
     Options options;
-    options.env = &env;
+    options.env = env;
     options.write_buffer_size = 4 << 10;  // many input files per compaction
     options.subcompactions = subcompactions;
-    auto db = std::move(*DB::Open(options, "/db"));
+    EXPECT_TRUE(env->CreateDir(dbname).ok());
+    auto db = std::move(*DB::Open(options, dbname));
     std::string dump = CompactedDump(db.get(), 17);
     return std::make_pair(dump, db->GetStats().subcompactions_run);
   };
-  auto [single, single_subs] = run(1);
-  auto [parallel, parallel_subs] = run(4);
-  EXPECT_EQ(single, parallel);
-  EXPECT_EQ(single_subs, 0u);
-  EXPECT_GT(parallel_subs, 0u) << "no compaction actually partitioned";
-  EXPECT_NE(single.find("key1="), std::string::npos);
+  // Once in memory, once on the real filesystem, where the parallel
+  // ranges read the same open table files concurrently.
+  MemEnv mem_env;
+  PosixEnv posix_env;
+  TempDir dir;
+  for (auto [env, root] : {std::pair<Env*, std::string>{&mem_env, ""},
+                           {&posix_env, dir.path()}}) {
+    SCOPED_TRACE(env == &mem_env ? "MemEnv" : "PosixEnv");
+    auto [single, single_subs] = run(env, root + "/single", 1);
+    auto [parallel, parallel_subs] = run(env, root + "/parallel", 4);
+    EXPECT_EQ(single, parallel);
+    EXPECT_EQ(single_subs, 0u);
+    EXPECT_GT(parallel_subs, 0u) << "no compaction actually partitioned";
+    EXPECT_NE(single.find("key1="), std::string::npos);
+  }
 }
 
 TEST(Subcompaction, CrashMidCompactionRecoversCleanly) {

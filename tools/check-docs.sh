@@ -3,7 +3,8 @@
 # (test name: check_docs):
 #   1. every relative markdown link resolves to an existing file;
 #   2. every LO_* environment knob referenced anywhere in the code
-#      appears in docs/tuning.md, the canonical knob table.
+#      appears in docs/tuning.md, the canonical knob table;
+#   3. every `LO_*` knob docs/tuning.md names is still read by the code.
 set -u
 
 # Resolve the repo root from the script's own (symlink-free) location,
@@ -48,28 +49,33 @@ if [ -n "$broken" ]; then
 fi
 echo "all documentation links resolve"
 
-# Knob drift: every LO_* environment variable the code reads must be
-# documented in docs/tuning.md. Only quoted literals in C++ sources
-# count — a quoted LO_ name is a getenv-style knob; bare LO_ tokens are
-# macros (LO_CHECK, LO_SERVER_BIN_DEFAULT) and compile-time
-# identifiers, not knobs.
+# Knob drift, both ways: every LO_* environment variable the code reads
+# must be documented in docs/tuning.md, and every `LO_*` knob that file
+# names must still be read by the code, so a deleted knob cannot linger
+# in the manual. Only quoted literals in C++ sources count — a quoted
+# LO_ name is a getenv-style knob; bare LO_ tokens are macros (LO_CHECK,
+# LO_SERVER_BIN_DEFAULT) and compile-time identifiers, not knobs.
 tuning="$root/docs/tuning.md"
 if [ ! -f "$tuning" ]; then
   echo "MISSING: docs/tuning.md (canonical knob table)"
   exit 1
 fi
-missing=$(
+code_knobs=$(
   grep -rhoE --include='*.cpp' --include='*.cc' --include='*.h' \
     '"LO_[A-Z_]+"' \
     "$root/src" "$root/bench" "$root/tools" "$root/tests" 2>/dev/null |
-    tr -d '"' | sort -u | while read -r knob; do
-    if ! grep -q "$knob" "$tuning"; then
-      echo "UNDOCUMENTED KNOB: $knob (add it to docs/tuning.md)"
-    fi
-  done
+    tr -d '"' | sort -u
 )
+doc_knobs=$(grep -oE '`LO_[A-Z_]+' "$tuning" | tr -d '`' | sort -u)
+missing=$(comm -23 <(echo "$code_knobs") <(echo "$doc_knobs"))
 if [ -n "$missing" ]; then
-  echo "$missing"
+  echo "UNDOCUMENTED KNOBS (add them to docs/tuning.md):" $missing
   exit 1
 fi
 echo "all LO_* knobs are documented in docs/tuning.md"
+stale=$(comm -13 <(echo "$code_knobs") <(echo "$doc_knobs"))
+if [ -n "$stale" ]; then
+  echo "STALE KNOBS (docs/tuning.md names them; no code reads them):" $stale
+  exit 1
+fi
+echo "every LO_* knob in docs/tuning.md is read by the code"

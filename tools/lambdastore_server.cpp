@@ -21,7 +21,6 @@
 //   --lanes=N        execution lanes (default 8)
 //   --net-threads=N  transport reactor threads, one SO_REUSEPORT
 //                    listener each (default from LO_NET_THREADS, else 1)
-//   --net-backend=epoll|uring  poller backend (also LO_NET_BACKEND)
 //   --net-flush=coalesce|immediate  response flush policy; immediate
 //                    restores write-per-response (A13 ablation baseline)
 //   --coordinator=IP:PORT  join the cluster at this coordinator
@@ -29,19 +28,16 @@
 //   --report-interval-ms=N  load-report/heartbeat cadence (default 200)
 //   --seed-users=N   pre-seed a ReTwis social graph with N users
 //   --seed-posts=N   initial posts per user for the seeded graph
-//   --block-cache-mb=N  SSTable block cache size (0 = off; default 8 MiB)
 //   --seed=N         workload generator seed (default 42)
 //   --gc-bytes=N     group-commit batch size cap
 //   --gc-delay-us=N  group-commit batch delay
-//   --memtable-shards=N  LSM memtable shards (power of two; default 1)
-//   --subcompactions=N   parallel sub-compactions per compaction (default 1)
-//   --compaction-rate-mb=N  compaction write cap, MB/s (0 = unlimited)
-//   --wal-prealloc-mb=N  preallocate WAL files to N MiB and recycle them
 //   --tenants=SPEC   per-tenant QoS contracts (also LO_TENANTS), e.g.
 //                    "1:weight=4,rate=2000,burst=200,fuel=5000000,inflight=64;2:weight=1"
 //   --tenant-window-ms=N  fuel-budget window length (also LO_TENANT_WINDOW_MS)
 //
-// See docs/tuning.md for how these interact with the workload.
+// An unknown flag, a malformed number or an unknown --net-flush value
+// prints "bad flag: <flag>" and exits 2. See docs/tuning.md for how
+// these interact with the workload.
 //
 // Prints "READY port=<p>" on stdout once listening (the harness and the
 // loopback smoke test parse it), then serves until SIGINT/SIGTERM or an
@@ -53,6 +49,7 @@
 #include <string.h>
 
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -70,28 +67,21 @@
 namespace {
 
 struct Flags {
-  uint16_t port = 0;
   std::string db_path;  // empty = MemEnv
-  std::string coordinator;
-  std::string advertise = "127.0.0.1";
-  size_t lanes = 8;
-  int64_t report_interval_ms = 200;
   uint64_t seed_users = 0;
   uint64_t seed_posts = 10;
   uint64_t seed = 42;
   int64_t gc_bytes = -1;
   int64_t gc_delay_us = -1;
-  int64_t block_cache_mb = -1;  // -1 = DB default; 0 = off
-  int64_t memtable_shards = -1;
-  int64_t subcompactions = -1;
-  int64_t compaction_rate_mb = -1;
-  int64_t wal_prealloc_mb = -1;  // >0 also turns on WAL recycling
-  std::string tenants;           // QoS spec; empty = tenancy off
+  std::string tenants;  // QoS spec; empty = tenancy off
   int64_t tenant_window_ms = 1000;
-  int64_t net_threads = 0;       // 0 = LO_NET_THREADS, default 1
-  std::string net_backend;       // empty = LO_NET_BACKEND, default epoll
-  std::string net_flush;         // empty/"coalesce" | "immediate"
+  lo::clusterd::ServerNodeOptions node;  // the flags it takes directly
 };
+
+[[noreturn]] void BadFlag(const char* arg) {
+  fprintf(stderr, "bad flag: %s\n", arg);
+  exit(2);
+}
 
 bool ParseFlag(const char* arg, const char* name, std::string* out) {
   std::string prefix = std::string("--") + name + "=";
@@ -100,10 +90,19 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return true;
 }
 
+/// Stores the whole of `value` as a base-10 number; anything else
+/// (trailing junk, overflow, a sign on an unsigned) rejects `arg`.
+template <typename T>
+void ParseNumber(const char* arg, const std::string& value, T* out) {
+  const char* end = value.data() + value.size();
+  auto [ptr, ec] = std::from_chars(value.data(), end, *out);
+  if (ec != std::errc() || ptr != end) BadFlag(arg);
+}
+
 Flags ParseFlags(int argc, char** argv) {
   Flags flags;
   if (const char* env_port = std::getenv("LO_NET_PORT")) {
-    flags.port = static_cast<uint16_t>(std::atoi(env_port));
+    flags.node.port = static_cast<uint16_t>(std::atoi(env_port));
   }
   if (const char* env_tenants = std::getenv("LO_TENANTS")) {
     flags.tenants = env_tenants;
@@ -114,50 +113,38 @@ Flags ParseFlags(int argc, char** argv) {
   for (int i = 1; i < argc; i++) {
     std::string value;
     if (ParseFlag(argv[i], "port", &value)) {
-      flags.port = static_cast<uint16_t>(std::stoi(value));
+      ParseNumber(argv[i], value, &flags.node.port);
     } else if (ParseFlag(argv[i], "db", &value)) {
       flags.db_path = value;
     } else if (ParseFlag(argv[i], "coordinator", &value)) {
-      flags.coordinator = value;
+      flags.node.coordinator = value;
     } else if (ParseFlag(argv[i], "advertise", &value)) {
-      flags.advertise = value;
+      flags.node.advertise_host = value;
     } else if (ParseFlag(argv[i], "lanes", &value)) {
-      flags.lanes = static_cast<size_t>(std::stoul(value));
+      ParseNumber(argv[i], value, &flags.node.lanes);
     } else if (ParseFlag(argv[i], "report-interval-ms", &value)) {
-      flags.report_interval_ms = std::stoll(value);
+      ParseNumber(argv[i], value, &flags.node.report_interval_ms);
     } else if (ParseFlag(argv[i], "seed-users", &value)) {
-      flags.seed_users = std::stoull(value);
+      ParseNumber(argv[i], value, &flags.seed_users);
     } else if (ParseFlag(argv[i], "seed-posts", &value)) {
-      flags.seed_posts = std::stoull(value);
+      ParseNumber(argv[i], value, &flags.seed_posts);
     } else if (ParseFlag(argv[i], "seed", &value)) {
-      flags.seed = std::stoull(value);
+      ParseNumber(argv[i], value, &flags.seed);
     } else if (ParseFlag(argv[i], "gc-bytes", &value)) {
-      flags.gc_bytes = std::stoll(value);
+      ParseNumber(argv[i], value, &flags.gc_bytes);
     } else if (ParseFlag(argv[i], "gc-delay-us", &value)) {
-      flags.gc_delay_us = std::stoll(value);
-    } else if (ParseFlag(argv[i], "block-cache-mb", &value)) {
-      flags.block_cache_mb = std::stoll(value);
-    } else if (ParseFlag(argv[i], "memtable-shards", &value)) {
-      flags.memtable_shards = std::stoll(value);
-    } else if (ParseFlag(argv[i], "subcompactions", &value)) {
-      flags.subcompactions = std::stoll(value);
-    } else if (ParseFlag(argv[i], "compaction-rate-mb", &value)) {
-      flags.compaction_rate_mb = std::stoll(value);
-    } else if (ParseFlag(argv[i], "wal-prealloc-mb", &value)) {
-      flags.wal_prealloc_mb = std::stoll(value);
+      ParseNumber(argv[i], value, &flags.gc_delay_us);
     } else if (ParseFlag(argv[i], "tenants", &value)) {
       flags.tenants = value;
     } else if (ParseFlag(argv[i], "tenant-window-ms", &value)) {
-      flags.tenant_window_ms = std::stoll(value);
+      ParseNumber(argv[i], value, &flags.tenant_window_ms);
     } else if (ParseFlag(argv[i], "net-threads", &value)) {
-      flags.net_threads = std::stoll(value);
-    } else if (ParseFlag(argv[i], "net-backend", &value)) {
-      flags.net_backend = value;
+      ParseNumber(argv[i], value, &flags.node.net_threads);
     } else if (ParseFlag(argv[i], "net-flush", &value)) {
-      flags.net_flush = value;
+      if (value != "coalesce" && value != "immediate") BadFlag(argv[i]);
+      flags.node.net_coalesce_flush = value == "coalesce";
     } else {
-      fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      exit(2);
+      BadFlag(argv[i]);
     }
   }
   return flags;
@@ -184,25 +171,6 @@ int main(int argc, char** argv) {
                        ? static_cast<lo::storage::Env*>(&mem_env)
                        : static_cast<lo::storage::Env*>(&posix_env);
   db_options.serialize_access = true;  // lanes + committer share the DB
-  if (flags.block_cache_mb >= 0) {
-    db_options.block_cache_bytes = static_cast<size_t>(flags.block_cache_mb)
-                                   << 20;
-  }
-  if (flags.memtable_shards > 0) {
-    db_options.memtable_shards = static_cast<int>(flags.memtable_shards);
-  }
-  if (flags.subcompactions > 0) {
-    db_options.subcompactions = static_cast<int>(flags.subcompactions);
-  }
-  if (flags.compaction_rate_mb > 0) {
-    db_options.compaction_rate_bytes_per_sec =
-        static_cast<uint64_t>(flags.compaction_rate_mb) * 1024 * 1024;
-  }
-  if (flags.wal_prealloc_mb > 0) {
-    db_options.wal_preallocate_bytes =
-        static_cast<uint64_t>(flags.wal_prealloc_mb) << 20;
-    db_options.wal_recycle = true;
-  }
   std::string db_name = flags.db_path.empty() ? "/db" : flags.db_path;
   auto opened = lo::storage::DB::Open(db_options, db_name);
   if (!opened.ok()) {
@@ -228,19 +196,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  lo::clusterd::ServerNodeOptions options;
-  options.port = flags.port;
-  options.coordinator = flags.coordinator;
-  options.advertise_host = flags.advertise;
-  options.lanes = flags.lanes;
-  options.report_interval_ms = flags.report_interval_ms;
-  options.net_threads = static_cast<int>(flags.net_threads);
-  if (!flags.net_backend.empty()) {
-    options.net_backend = flags.net_backend == "uring"
-                              ? lo::net::NetBackend::kUring
-                              : lo::net::NetBackend::kEpoll;
-  }
-  if (flags.net_flush == "immediate") options.net_coalesce_flush = false;
+  lo::clusterd::ServerNodeOptions options = flags.node;
   if (flags.gc_bytes > 0) {
     options.group_commit.max_batch_bytes = static_cast<size_t>(flags.gc_bytes);
   }
