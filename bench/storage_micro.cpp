@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "storage/db.h"
 #include "storage/env.h"
@@ -172,6 +173,18 @@ void BM_RecoveryReplay(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_RecoveryReplay)->Arg(1000)->Arg(10000);
+
+void BM_Crc32c(benchmark::State& state) {
+  // The checksum every block, WAL record and frame is verified with;
+  // Arg = bytes (a 4 KiB data block, a 128 KiB filter block).
+  Rng rng(10);
+  std::string data = rng.Bytes(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32c::Value(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(131072);
 
 }  // namespace
 

@@ -177,8 +177,14 @@ void ParallelNode::RunOnLane(const ObjectId& oid,
 void ParallelNode::Enqueue(size_t lane_index, std::function<void()> job,
                            tenant::TenantId tenant) {
   Lane& lane = *lanes_[lane_index];
-  uint32_t weight =
-      options_.tenants != nullptr ? options_.tenants->WeightFor(tenant) : 1;
+  // Without a registry tenancy is off: tagged work queues as tenant 0,
+  // so the lane stays plain FIFO instead of round-robin by tenant id.
+  uint32_t weight = 1;
+  if (options_.tenants != nullptr) {
+    weight = options_.tenants->WeightFor(tenant);
+  } else {
+    tenant = 0;
+  }
   int64_t now_us = std::chrono::duration_cast<std::chrono::microseconds>(
                        std::chrono::steady_clock::now().time_since_epoch())
                        .count();

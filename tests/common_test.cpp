@@ -161,19 +161,58 @@ TEST(Coding, PropertyRandomRoundTrip) {
 }
 
 TEST(Crc32c, KnownVectors) {
-  // RFC 3720 test vector: 32 zero bytes.
+  // RFC 3720 test vectors (32 zeros, 32 ones, ascending, descending)
+  // and the CRC-32C check value, on the selected path and the table.
   std::string zeros(32, '\0');
-  EXPECT_EQ(crc32c::Value(zeros), 0x8a9136aau);
   std::string ones(32, '\xff');
-  EXPECT_EQ(crc32c::Value(ones), 0x62a8ab43u);
+  std::string ascending, descending;
+  for (int i = 0; i < 32; i++) {
+    ascending.push_back(static_cast<char>(i));
+    descending.push_back(static_cast<char>(31 - i));
+  }
+  const std::string check = "123456789";
+  for (auto extend : {crc32c::Extend, crc32c::ExtendTable}) {
+    EXPECT_EQ(extend(0, zeros.data(), zeros.size()), 0x8a9136aau);
+    EXPECT_EQ(extend(0, ones.data(), ones.size()), 0x62a8ab43u);
+    EXPECT_EQ(extend(0, ascending.data(), ascending.size()), 0x46dd794eu);
+    EXPECT_EQ(extend(0, descending.data(), descending.size()), 0x113fdb5cu);
+    EXPECT_EQ(extend(0, check.data(), check.size()), 0xe3069283u);
+  }
 }
 
 TEST(Crc32c, ExtendMatchesOneShot) {
-  std::string data = "hello world, this is a wal record";
+  Rng rng(5);
+  std::string data = rng.Bytes(100);
   uint32_t whole = crc32c::Value(data);
-  uint32_t split = crc32c::Extend(crc32c::Extend(0, data.data(), 10),
-                                  data.data() + 10, data.size() - 10);
-  EXPECT_EQ(whole, split);
+  for (size_t split = 0; split <= data.size(); split++) {
+    uint32_t head = crc32c::Extend(0, data.data(), split);
+    ASSERT_EQ(crc32c::Extend(head, data.data() + split, data.size() - split), whole)
+        << "split " << split;
+  }
+}
+
+TEST(Crc32c, SelectedPathMatchesTableOnUnalignedBytes) {
+  // Offsets 0..7 put the 8-byte loads at every alignment; lengths cover
+  // the word loop, the byte tail and empty input.
+  Rng rng(11);
+  std::string buffer = rng.Bytes(1024 + 8);
+  for (size_t offset = 0; offset < 8; offset++) {
+    for (size_t len = 0; len <= 1024; len++) {
+      const char* data = buffer.data() + offset;
+      uint32_t seed = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(crc32c::Extend(seed, data, len), crc32c::ExtendTable(seed, data, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32c, UsesHardwareWhereTheCpuHasIt) {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  EXPECT_EQ(crc32c::UsesHardware(), __builtin_cpu_supports("sse4.2") != 0);
+#else
+  EXPECT_FALSE(crc32c::UsesHardware());
+#endif
 }
 
 TEST(Crc32c, MaskRoundTripAndDiffers) {

@@ -5,11 +5,12 @@
 // and server-side shedding, reconnect with backoff across a server
 // restart), the RemoteClient retry policy, and multi-process tests that
 // spawn the real lambdastore-server binary: a small ReTwis slice against
-// it, and its rejection of bad flags.
+// it, and its and lambdastore-coordinator's rejection of bad flags.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <signal.h>
 #include <spawn.h>
 #include <stdio.h>
@@ -1154,39 +1155,69 @@ TEST(MultiProcess, LoopbackRetwisSlice) {
   EXPECT_EQ(WEXITSTATUS(wstatus), 0);
 }
 
+std::string CoordinatorBinaryPath() {
+  if (const char* env = std::getenv("LO_COORD_BIN")) return env;
+#ifdef LO_COORD_BIN_DEFAULT
+  return LO_COORD_BIN_DEFAULT;
+#else
+  return "";
+#endif
+}
+
+/// Runs `binary flag` and expects exit 2 with the flag named on stderr.
+/// A binary that accepts the flag keeps running; it is killed after 10 s.
+void ExpectBadFlagExit(std::string binary, std::string flag) {
+  int err_pipe[2];
+  ASSERT_EQ(pipe(err_pipe), 0);
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_adddup2(&actions, err_pipe[1], STDERR_FILENO);
+  posix_spawn_file_actions_addclose(&actions, err_pipe[0]);
+  posix_spawn_file_actions_addclose(&actions, err_pipe[1]);
+  char* argv[] = {binary.data(), flag.data(), nullptr};
+  pid_t pid = -1;
+  ASSERT_EQ(posix_spawn(&pid, binary.c_str(), &actions, nullptr, argv, environ), 0);
+  posix_spawn_file_actions_destroy(&actions);
+  ::close(err_pipe[1]);
+  SpawnGuard guard{pid};
+  std::string err;
+  char buf[256];
+  ssize_t n = 1;
+  while (n > 0) {
+    struct pollfd pfd = {err_pipe[0], POLLIN, 0};
+    if (::poll(&pfd, 1, 10'000) <= 0) break;
+    n = ::read(err_pipe[0], buf, sizeof(buf));
+    if (n > 0) err.append(buf, n);
+  }
+  ::close(err_pipe[0]);
+  ASSERT_EQ(n, 0) << binary << " " << flag << " still running after 10 s";
+  int wstatus = 0;
+  pid = guard.Release();
+  ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wstatus)) << binary << " " << flag;
+  EXPECT_EQ(WEXITSTATUS(wstatus), 2) << binary << " " << flag;
+  EXPECT_NE(err.find("bad flag: " + flag), std::string::npos)
+      << binary << " " << flag << ": " << err;
+}
+
 TEST(MultiProcess, MalformedFlagsExitTwo) {
-  std::string binary = ServerBinaryPath();
-  ASSERT_FALSE(binary.empty()) << "set LO_SERVER_BIN";
+  std::string server = ServerBinaryPath();
+  ASSERT_FALSE(server.empty()) << "set LO_SERVER_BIN";
   // A malformed number, an unknown enum value, and a removed flag (spelled
   // in two pieces so no live mention of it is left in the tree).
   for (std::string flag : {"--lanes=abc", "--net-flush=bogus",
                            "--net-" "backend=epoll"}) {
-    int err_pipe[2];
-    ASSERT_EQ(pipe(err_pipe), 0);
-    posix_spawn_file_actions_t actions;
-    posix_spawn_file_actions_init(&actions);
-    posix_spawn_file_actions_adddup2(&actions, err_pipe[1], STDERR_FILENO);
-    posix_spawn_file_actions_addclose(&actions, err_pipe[0]);
-    posix_spawn_file_actions_addclose(&actions, err_pipe[1]);
-    char* argv[] = {binary.data(), flag.data(), nullptr};
-    pid_t pid = -1;
-    ASSERT_EQ(posix_spawn(&pid, binary.c_str(), &actions, nullptr, argv,
-                          environ),
-              0);
-    posix_spawn_file_actions_destroy(&actions);
-    ::close(err_pipe[1]);
-    SpawnGuard guard{pid};
-    std::string err;
-    char buf[256];
-    ssize_t n;
-    while ((n = ::read(err_pipe[0], buf, sizeof(buf))) > 0) err.append(buf, n);
-    ::close(err_pipe[0]);
-    int wstatus = 0;
-    pid = guard.Release();
-    ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
-    ASSERT_TRUE(WIFEXITED(wstatus)) << flag;
-    EXPECT_EQ(WEXITSTATUS(wstatus), 2) << flag;
-    EXPECT_NE(err.find(flag), std::string::npos) << flag << ": " << err;
+    ExpectBadFlagExit(server, flag);
+  }
+  std::string coordinator = CoordinatorBinaryPath();
+  ASSERT_FALSE(coordinator.empty()) << "set LO_COORD_BIN";
+  // Each number flag malformed once (junk, overflow, sign, empty), plus
+  // an unknown flag.
+  for (std::string flag : {"--port=abc", "--port=70000", "--hash-servers=-1",
+                           "--rebalance-interval-ms=5s", "--skew=2.0x",
+                           "--min-requests=", "--migrations-per-round=1e3",
+                           "--bogus"}) {
+    ExpectBadFlagExit(coordinator, flag);
   }
 }
 

@@ -375,6 +375,35 @@ TEST(ParallelNodeFairness, WeightedSharesWithinTenPercent) {
   EXPECT_GT(registry.QueuePercentile(2, 0.5), 0);
 }
 
+// Without a registry tenancy is off: tenant-tagged work on one lane runs
+// in submission order, not round-robin by tenant id.
+TEST(ParallelNodeFairness, NoRegistryKeepsTaggedWorkFifo) {
+  NodeFixture fix(/*tenants=*/nullptr, /*lanes=*/1, /*spin_iters=*/1);
+
+  std::promise<void> gate_entered;
+  std::promise<void> gate_release;
+  std::future<void> release = gate_release.get_future();
+  fix.node->RunOnLane("gate", [&](runtime::Runtime&) {
+    gate_entered.set_value();
+    release.wait();
+  });
+  gate_entered.get_future().wait();
+
+  std::vector<TenantId> submitted;
+  std::vector<TenantId> order;  // only the lane thread appends
+  for (TenantId tenant : {TenantId{1}, TenantId{2}}) {
+    for (int i = 0; i < 50; i++) {
+      submitted.push_back(tenant);
+      fix.node->RunOnLane(
+          "gate", [&order, tenant](runtime::Runtime&) { order.push_back(tenant); },
+          tenant);
+    }
+  }
+  gate_release.set_value();
+  fix.node->Drain();
+  EXPECT_EQ(order, submitted);
+}
+
 // A long-running invocation is trapped mid-flight once its tenant's fuel
 // window is dry — the VM's fuel tap surfaces kTenantThrottled as the
 // invocation's status.

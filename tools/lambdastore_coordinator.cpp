@@ -21,6 +21,9 @@
 //   --migrations-per-round=N  hottest objects moved per round (default 4)
 //   --no-rebalance          disable the rebalancer (manual migration only)
 //
+// An unknown flag or a malformed number prints "bad flag: <flag>" and
+// exits 2.
+//
 // Prints "READY port=<p>" once listening; exits 0 on SIGINT/SIGTERM or
 // an "admin.shutdown" RPC.
 #include <signal.h>
@@ -28,12 +31,16 @@
 #include <string.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 
 #include "clusterd/coordinator.h"
+#include "flags.h"
 
 namespace {
+
+using lo::flags::BadFlag;
+using lo::flags::ParseFlag;
+using lo::flags::ParseNumber;
 
 struct Flags {
   uint16_t port = 0;
@@ -45,34 +52,26 @@ struct Flags {
   bool rebalance = true;
 };
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  std::string prefix = std::string("--") + name + "=";
-  if (strncmp(arg, prefix.c_str(), prefix.size()) != 0) return false;
-  *out = arg + prefix.size();
-  return true;
-}
-
 Flags ParseFlags(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; i++) {
     std::string value;
     if (ParseFlag(argv[i], "port", &value)) {
-      flags.port = static_cast<uint16_t>(std::stoi(value));
+      ParseNumber(argv[i], value, &flags.port);
     } else if (ParseFlag(argv[i], "hash-servers", &value)) {
-      flags.hash_servers = static_cast<uint32_t>(std::stoul(value));
+      ParseNumber(argv[i], value, &flags.hash_servers);
     } else if (ParseFlag(argv[i], "rebalance-interval-ms", &value)) {
-      flags.rebalance_interval_ms = std::stoll(value);
+      ParseNumber(argv[i], value, &flags.rebalance_interval_ms);
     } else if (ParseFlag(argv[i], "skew", &value)) {
-      flags.skew = std::stod(value);
+      ParseNumber(argv[i], value, &flags.skew);
     } else if (ParseFlag(argv[i], "min-requests", &value)) {
-      flags.min_requests = std::stoull(value);
+      ParseNumber(argv[i], value, &flags.min_requests);
     } else if (ParseFlag(argv[i], "migrations-per-round", &value)) {
-      flags.migrations_per_round = static_cast<size_t>(std::stoul(value));
+      ParseNumber(argv[i], value, &flags.migrations_per_round);
     } else if (strcmp(argv[i], "--no-rebalance") == 0) {
       flags.rebalance = false;
     } else {
-      fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      exit(2);
+      BadFlag(argv[i]);
     }
   }
   return flags;

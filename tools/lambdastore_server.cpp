@@ -49,7 +49,6 @@
 #include <string.h>
 
 #include <atomic>
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -58,6 +57,7 @@
 
 #include "clusterd/server.h"
 #include "common/log.h"
+#include "flags.h"
 #include "retwis/retwis.h"
 #include "retwis/workload.h"
 #include "storage/db.h"
@@ -65,6 +65,10 @@
 #include "tenant/tenant.h"
 
 namespace {
+
+using lo::flags::BadFlag;
+using lo::flags::ParseFlag;
+using lo::flags::ParseNumber;
 
 struct Flags {
   std::string db_path;  // empty = MemEnv
@@ -77,27 +81,6 @@ struct Flags {
   int64_t tenant_window_ms = 1000;
   lo::clusterd::ServerNodeOptions node;  // the flags it takes directly
 };
-
-[[noreturn]] void BadFlag(const char* arg) {
-  fprintf(stderr, "bad flag: %s\n", arg);
-  exit(2);
-}
-
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  std::string prefix = std::string("--") + name + "=";
-  if (strncmp(arg, prefix.c_str(), prefix.size()) != 0) return false;
-  *out = arg + prefix.size();
-  return true;
-}
-
-/// Stores the whole of `value` as a base-10 number; anything else
-/// (trailing junk, overflow, a sign on an unsigned) rejects `arg`.
-template <typename T>
-void ParseNumber(const char* arg, const std::string& value, T* out) {
-  const char* end = value.data() + value.size();
-  auto [ptr, ec] = std::from_chars(value.data(), end, *out);
-  if (ec != std::errc() || ptr != end) BadFlag(arg);
-}
 
 Flags ParseFlags(int argc, char** argv) {
   Flags flags;
