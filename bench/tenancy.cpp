@@ -35,6 +35,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -133,34 +134,42 @@ struct Node {
   std::unique_ptr<runtime::ParallelNode> node;
 };
 
-// Measured node capacity in ops/sec: batches of concurrent InvokeAsync
-// spins keeping every lane busy for ~300 ms. Measuring through the same
-// concurrent path the experiment uses (not sequentially × lane count)
-// keeps the calibration honest on machines where parallel scaling is
-// poor — under TSan the sequential estimate is several times too high,
-// which would overload even the protected arm.
+// Measured node capacity in ops/sec: a closed loop of concurrent
+// InvokeAsync spins, each completion submitting the next, so a fixed
+// number stays in flight and no lane idles during the ~300 ms window
+// (an idle lane would under-count capacity and under-load the arms).
+// Measuring through the same concurrent path the experiment uses (not
+// sequentially × lane count) keeps the calibration honest on machines
+// where parallel scaling is poor — under TSan the sequential estimate is
+// several times too high, which would overload even the protected arm.
 double MeasureCapacity() {
   Node warm(nullptr);
   warm.node->Invoke(Oid(kVictim, 0), "spin", "").get();  // warm the VM path
-  int64_t started = NowUs();
-  int completed = 0;
-  while (NowUs() - started < 300'000 && completed < 2000) {
-    constexpr int kBatch = 32;
-    std::atomic<int> batch_done{0};
-    for (int i = 0; i < kBatch; i++) {
-      warm.node->InvokeAsync(
-          Oid(kVictim, (completed + i) % kObjectsPerTenant), "spin", "", "",
-          [&batch_done](Result<std::string>) {
-            batch_done.fetch_add(1, std::memory_order_release);
-          });
-    }
-    while (batch_done.load(std::memory_order_acquire) < kBatch) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    completed += kBatch;
+  constexpr int kInFlight = 32;
+  constexpr int64_t kWindowUs = 300'000;
+  const int64_t deadline = NowUs() + kWindowUs;
+  std::atomic<int> sent{0};
+  std::atomic<int> done{0};
+  std::atomic<int> in_window{0};
+  std::function<void()> submit = [&] {
+    int n = sent.fetch_add(1);
+    warm.node->InvokeAsync(Oid(kVictim, n % kObjectsPerTenant), "spin", "", "",
+                           [&](Result<std::string>) {
+                             if (NowUs() < deadline) {
+                               in_window.fetch_add(1);
+                               submit();  // counted in `sent` before `done`
+                             }
+                             done.fetch_add(1);
+                           });
+  };
+  for (int i = 0; i < kInFlight; i++) submit();
+  for (;;) {
+    // Read `done` before `sent`: equal counts then mean none is in flight.
+    int finished = done.load();
+    if (NowUs() >= deadline && finished == sent.load()) break;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
-  double elapsed_s = static_cast<double>(NowUs() - started) / 1e6;
-  return static_cast<double>(completed) / elapsed_s;
+  return static_cast<double>(in_window.load()) / (kWindowUs / 1e6);
 }
 
 struct ArmResult {

@@ -6,16 +6,11 @@
 #include "runtime/runtime.h"
 
 namespace lo::runtime {
-namespace {
 
-// Hash recorded in the read set; absence hashes differently from every
-// present value.
-uint64_t ValueHash(const Result<std::string>& value) {
+uint64_t ObservedValueHash(const Result<std::string>& value) {
   if (!value.ok()) return 0x9e3779b97f4a7c15ull;  // "absent"
   return Fnv1a64(*value) ^ 1;
 }
-
-}  // namespace
 
 InvocationContext::InvocationContext(Runtime* runtime, ObjectId oid,
                                      MethodKind kind,
@@ -38,7 +33,7 @@ sim::Task<Result<std::string>> InvocationContext::ReadKey(std::string key) {
   }
   Result<std::string> value = runtime_->StorageRead(key, snapshot_);
   if (!value.ok() && !value.status().IsNotFound()) co_return value.status();
-  read_set_.push_back(ReadSetEntry{std::move(key), ValueHash(value)});
+  read_set_.push_back(ReadSetEntry{std::move(key), ObservedValueHash(value)});
   co_return value;
 }
 
@@ -50,19 +45,6 @@ sim::Task<Status> InvocationContext::WriteKey(std::string key,
 }
 
 // --- HostApi ------------------------------------------------------------
-
-sim::Task<Result<std::string>> InvocationContext::KvGet(std::string_view key) {
-  return ReadKey(FieldKey(oid_, key));
-}
-
-sim::Task<Status> InvocationContext::KvPut(std::string_view key,
-                                           std::string_view value) {
-  return WriteKey(FieldKey(oid_, key), std::string(value));
-}
-
-sim::Task<Status> InvocationContext::KvDelete(std::string_view key) {
-  return WriteKey(FieldKey(oid_, key), std::nullopt);
-}
 
 sim::Task<Result<std::string>> InvocationContext::InvokeObject(
     std::string_view oid, std::string_view function, std::string_view argument) {

@@ -32,6 +32,10 @@ struct ReadSetEntry {
   uint64_t value_hash;
 };
 
+/// Hash of an observed value; absence hashes differently from every
+/// present value.
+uint64_t ObservedValueHash(const Result<std::string>& value);
+
 class InvocationContext : public vm::HostApi {
  public:
   /// `snapshot` may be null (read latest). Runtime retains ownership of
@@ -42,10 +46,12 @@ class InvocationContext : public vm::HostApi {
   const ObjectId& oid() const { return oid_; }
   MethodKind kind() const { return kind_; }
 
-  // --- vm::HostApi (raw keys are scoped to this object's value space) --
-  sim::Task<Result<std::string>> KvGet(std::string_view key) override;
-  sim::Task<Status> KvPut(std::string_view key, std::string_view value) override;
-  sim::Task<Status> KvDelete(std::string_view key) override;
+  // --- vm::HostApi (raw keys are this object's value fields) ----------
+  sim::Task<Result<std::string>> KvGet(std::string_view key) override { return Get(key); }
+  sim::Task<Status> KvPut(std::string_view key, std::string_view value) override {
+    return Set(key, value);
+  }
+  sim::Task<Status> KvDelete(std::string_view key) override { return Unset(key); }
   sim::Task<Result<std::string>> InvokeObject(std::string_view oid,
                                               std::string_view function,
                                               std::string_view argument) override;
@@ -79,7 +85,6 @@ class InvocationContext : public vm::HostApi {
   const std::vector<ReadSetEntry>& read_set() const { return read_set_; }
   /// Keys written so far (cache invalidation).
   std::vector<std::string> written_keys() const;
-  void set_snapshot(const storage::Snapshot* snapshot) { snapshot_ = snapshot; }
   /// The object lock held by this (read-write) invocation; the runtime
   /// releases it around nested calls (paper §3.1: the parts before and
   /// after a nested call are separate invocations).

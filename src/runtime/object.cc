@@ -32,13 +32,6 @@ const ObjectType* TypeRegistry::Find(std::string_view name) const {
   return it == types_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::string> TypeRegistry::TypeNames() const {
-  std::vector<std::string> names;
-  names.reserve(types_.size());
-  for (const auto& [name, type] : types_) names.push_back(name);
-  return names;
-}
-
 namespace {
 constexpr char kSep = '\0';
 }  // namespace

@@ -73,7 +73,6 @@ class TypeRegistry {
  public:
   Status Register(ObjectType type);
   const ObjectType* Find(std::string_view name) const;
-  std::vector<std::string> TypeNames() const;
 
  private:
   std::map<std::string, ObjectType, std::less<>> types_;

@@ -1,10 +1,12 @@
 #include "runtime/result_cache.h"
 
+#include <utility>
+
 #include "common/sha256.h"
 
 namespace lo::runtime {
 
-ResultCache::ResultCache(size_t capacity) : capacity_(capacity) {}
+ResultCache::ResultCache(size_t capacity) : capacity_(capacity), slots_(16) {}
 
 std::string ResultCache::MakeKey(std::string_view oid, std::string_view method,
                                  std::string_view argument) {
@@ -25,70 +27,102 @@ std::optional<std::string> ResultCache::Lookup(const std::string& cache_key) {
     return std::nullopt;
   }
   stats_.hits++;
-  // Refresh LRU position.
-  lru_.erase(it->second.lru_pos);
-  lru_.push_back(cache_key);
-  it->second.lru_pos = std::prev(lru_.end());
-  return it->second.output;
+  lru_.splice(lru_.end(), lru_, it->second);  // now most recently used
+  return it->second->output;
 }
 
 void ResultCache::Insert(const std::string& cache_key, std::string output,
-                         std::vector<ReadSetEntry> reads) {
-  Erase(cache_key);  // replace any stale entry
-  Entry entry;
-  entry.output = std::move(output);
-  entry.read_keys.reserve(reads.size());
-  for (auto& read : reads) {
-    by_read_key_.emplace(read.key, cache_key);
-    entry.read_keys.push_back(std::move(read.key));
+                         const std::vector<ReadSetEntry>& reads) {
+  if (auto it = entries_.find(cache_key); it != entries_.end()) Erase(it->second);
+  Node& node = lru_.emplace_back(Node{cache_key, std::move(output), {}});
+  node.deps.reserve(reads.size());  // exact: records never move once linked
+  for (const auto& read : reads) {
+    Link(&node.deps.emplace_back(Dep{Fnv1a64(read.key), &node, nullptr, nullptr}));
   }
-  lru_.push_back(cache_key);
-  entry.lru_pos = std::prev(lru_.end());
-  entries_.emplace(cache_key, std::move(entry));
+  entries_.emplace(node.key, std::prev(lru_.end()));
   stats_.insertions++;
   while (entries_.size() > capacity_) {
     stats_.evictions++;
-    Erase(lru_.front());
+    Erase(lru_.begin());
   }
 }
 
 void ResultCache::InvalidateWrites(std::span<const std::string> written_keys,
                                    bool remote) {
   for (const auto& key : written_keys) {
-    auto [begin, end] = by_read_key_.equal_range(key);
-    // Collect first: Erase mutates by_read_key_.
-    std::vector<std::string> victims;
-    for (auto it = begin; it != end; ++it) victims.push_back(it->second);
-    for (const auto& victim : victims) {
-      if (entries_.contains(victim)) {
-        stats_.invalidations++;
-        if (remote) stats_.remote_invalidations++;
-        Erase(victim);
-      }
+    // Each drop unlinks the victim's records, so re-probe until none is left.
+    for (uint64_t hash = Fnv1a64(key); Slot* slot = FindSlot(hash);) {
+      stats_.invalidations++;
+      if (remote) stats_.remote_invalidations++;
+      Erase(entries_.find(slot->head->owner->key)->second);
     }
   }
 }
 
-void ResultCache::Erase(const std::string& cache_key) {
-  auto it = entries_.find(cache_key);
-  if (it == entries_.end()) return;
-  for (const auto& read_key : it->second.read_keys) {
-    auto [begin, end] = by_read_key_.equal_range(read_key);
-    for (auto dep = begin; dep != end; ++dep) {
-      if (dep->second == cache_key) {
-        by_read_key_.erase(dep);
-        break;
-      }
-    }
-  }
-  lru_.erase(it->second.lru_pos);
-  entries_.erase(it);
+void ResultCache::Erase(NodeIt node) {
+  for (Dep& dep : node->deps) Unlink(&dep);
+  entries_.erase(node->key);
+  lru_.erase(node);
 }
 
 void ResultCache::Clear() {
   entries_.clear();
-  by_read_key_.clear();
   lru_.clear();
+  slots_ = std::vector<Slot>(16);
+  used_slots_ = 0;
+}
+
+ResultCache::Slot* ResultCache::FindSlot(uint64_t hash) {
+  for (size_t i = Home(hash);; i = (i + 1) & (slots_.size() - 1)) {
+    if (slots_[i].head == nullptr) return nullptr;
+    if (slots_[i].hash == hash) return &slots_[i];
+  }
+}
+
+void ResultCache::Place(Slot slot) {
+  size_t i = Home(slot.hash);
+  while (slots_[i].head != nullptr) i = (i + 1) & (slots_.size() - 1);
+  slots_[i] = slot;
+}
+
+void ResultCache::Link(Dep* dep) {
+  if (Slot* slot = FindSlot(dep->hash)) {
+    dep->next = std::exchange(slot->head, dep);
+    dep->next->prev = dep;
+    return;
+  }
+  if ((used_slots_ + 1) * 2 > slots_.size()) {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    for (const Slot& slot : old) {
+      if (slot.head != nullptr) Place(slot);
+    }
+  }
+  Place({dep->hash, dep});
+  used_slots_++;
+}
+
+void ResultCache::Unlink(Dep* dep) {
+  if (dep->next != nullptr) dep->next->prev = dep->prev;
+  if (dep->prev != nullptr) {
+    dep->prev->next = dep->next;
+    return;
+  }
+  Slot* slot = FindSlot(dep->hash);
+  slot->head = dep->next;
+  if (slot->head != nullptr) return;
+  // Last record of this hash: backward-shift deletion, no tombstones.
+  size_t mask = slots_.size() - 1;
+  size_t hole = slot - slots_.data();
+  for (size_t i = (hole + 1) & mask; slots_[i].head != nullptr; i = (i + 1) & mask) {
+    // Slot i may fill the hole unless its home lies cyclically in (hole, i].
+    if (((i - Home(slots_[i].hash)) & mask) >= ((i - hole) & mask)) {
+      slots_[hole] = slots_[i];
+      slots_[i].head = nullptr;
+      hole = i;
+    }
+  }
+  used_slots_--;
 }
 
 }  // namespace lo::runtime

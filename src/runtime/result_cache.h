@@ -2,19 +2,21 @@
 //
 // Because storage and execution are co-located, the storage node sees
 // every committed write, so it can invalidate cached function results
-// precisely: each entry records the invocation's read set (keys + value
-// hashes); committing a batch drops every entry whose read set overlaps
-// the batch's write keys. Entries therefore never serve stale data.
+// precisely: a flat open-addressing index maps each read key's hash to
+// the entries that read it, and committing a batch drops every entry that
+// read one of its write keys. Entries therefore never serve stale data (a
+// hash collision can only drop an extra entry).
 #pragma once
 
 #include <cstdint>
 #include <list>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "runtime/context.h"
 
 namespace lo::runtime {
@@ -43,7 +45,7 @@ class ResultCache {
   std::optional<std::string> Lookup(const std::string& cache_key);
 
   void Insert(const std::string& cache_key, std::string output,
-              std::vector<ReadSetEntry> reads);
+              const std::vector<ReadSetEntry>& reads);
 
   /// Drops every entry that read one of these storage keys. `remote`
   /// marks the write as having arrived via replication rather than a
@@ -56,18 +58,29 @@ class ResultCache {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct Entry {
-    std::string output;
-    std::vector<std::string> read_keys;
-    std::list<std::string>::iterator lru_pos;
+  struct Node;
+  // One read key of an entry: Fnv1a64(key), linked into the list of all
+  // records with that hash, so dropping an entry unlinks it in O(1).
+  struct Dep { uint64_t hash; Node* owner; Dep* prev; Dep* next; };
+  struct Node {
+    std::string key, output;
+    std::vector<Dep> deps;  // never resized once linked
   };
-  void Erase(const std::string& cache_key);
+  struct Slot { uint64_t hash; Dep* head; };  // head null: empty slot
+  using NodeIt = std::list<Node>::iterator;
+
+  void Erase(NodeIt node);
+  size_t Home(uint64_t hash) const { return Mix64(hash) & (slots_.size() - 1); }
+  Slot* FindSlot(uint64_t hash);
+  void Place(Slot slot);
+  void Link(Dep* dep);
+  void Unlink(Dep* dep);
 
   size_t capacity_;
-  std::map<std::string, Entry> entries_;
-  // read key -> cache keys depending on it.
-  std::multimap<std::string, std::string> by_read_key_;
-  std::list<std::string> lru_;  // front = least recently used
+  std::list<Node> lru_;  // front = least recently used
+  std::unordered_map<std::string_view, NodeIt> entries_;  // views node keys
+  std::vector<Slot> slots_;  // power-of-two size (>= 16), at most half full
+  size_t used_slots_ = 0;
   Stats stats_;
 };
 

@@ -18,7 +18,6 @@ Runtime::Runtime(sim::Simulator* sim, storage::DB* db, const TypeRegistry* types
   size_t lanes = std::max<size_t>(1, options_.lanes);
   lanes_.reserve(lanes);
   for (size_t i = 0; i < lanes; ++i) lanes_.push_back(std::make_unique<AsyncMutex>());
-  lane_acquisitions_.assign(lanes, 0);
   // Default commit sink: local durable write.
   commit_sink_ = [this](const ObjectId&, storage::WriteBatch batch,
                         obs::TraceContext trace) -> sim::Task<Status> {
@@ -51,10 +50,6 @@ size_t Runtime::LaneIndexFor(const ObjectId& oid) const {
   return static_cast<size_t>(Fnv1a64(oid) % lanes_.size());
 }
 
-AsyncMutex& Runtime::LockFor(const ObjectId& oid) {
-  return *lanes_[LaneIndexFor(oid)];
-}
-
 size_t Runtime::BusyLanes() const {
   size_t busy = 0;
   for (const auto& lane : lanes_) busy += lane->locked() ? 1 : 0;
@@ -67,7 +62,6 @@ sim::Task<void> Runtime::AcquireLane(size_t lane, tenant::TenantId tenant) {
   uint32_t weight =
       options_.tenants != nullptr ? options_.tenants->WeightFor(tenant) : 1;
   co_await lock.Lock(tenant, weight);
-  lane_acquisitions_[lane]++;
   size_t busy = BusyLanes();
   if (busy > metrics_.max_busy_lanes) metrics_.max_busy_lanes = busy;
 }
@@ -153,9 +147,7 @@ sim::Task<Result<std::string>> Runtime::Invoke(ObjectId oid, std::string method,
       }
     }
     if (result.ok() && !cache_key.empty()) {
-      cache_.Insert(cache_key, *result,
-                    std::vector<ReadSetEntry>(ctx.read_set().begin(),
-                                              ctx.read_set().end()));
+      cache_.Insert(cache_key, *result, ctx.read_set());
     }
     co_return result;
   }
@@ -315,7 +307,5 @@ void Runtime::OnExternalCommit(const storage::WriteBatch& batch) {
   batch.Iterate(&collector).ok();
   cache_.InvalidateWrites(collector.keys, /*remote=*/true);
 }
-
-void Runtime::ClearResultCache() { cache_.Clear(); }
 
 }  // namespace lo::runtime

@@ -102,7 +102,7 @@ class Runtime {
   /// Drops every cached result. Called on promotion (backup -> primary):
   /// entries cached while backup reflect the old primary's history and
   /// must not survive into the new epoch.
-  void ClearResultCache();
+  void ClearResultCache() { cache_.Clear(); }
   size_t result_cache_size() const { return cache_.size(); }
 
   struct Metrics {
@@ -145,12 +145,8 @@ class Runtime {
   AsyncMutex& LaneLock(size_t lane) { return *lanes_[lane]; }
   /// Lanes whose lock is currently held (instantaneous occupancy).
   size_t BusyLanes() const;
-  /// Invocations scheduled on `lane` so far.
-  uint64_t lane_acquisitions(size_t lane) const { return lane_acquisitions_[lane]; }
 
   // --- internal API used by Transaction (runtime/transaction.h) --------
-  /// The scheduling lock for an object's lane (kept for tests).
-  AsyncMutex& LockForTesting(const ObjectId& oid) { return LockFor(oid); }
   /// Commits a cross-object batch through the sink + cache invalidation.
   sim::Task<Status> CommitBatchForTransaction(
       const ObjectId& routing_oid, storage::WriteBatch batch,
@@ -162,7 +158,6 @@ class Runtime {
                                            InvocationContext& ctx,
                                            std::string argument, uint64_t* fuel,
                                            tenant::TenantId tenant = 0);
-  AsyncMutex& LockFor(const ObjectId& oid);
   /// Awaits the lane lock and updates wait/occupancy metrics. The tenant
   /// id selects the DRR grant group (see async_mutex.h).
   sim::Task<void> AcquireLane(size_t lane, tenant::TenantId tenant = 0);
@@ -175,7 +170,6 @@ class Runtime {
   RemoteInvoker remote_invoker_;
   CpuCharger cpu_charger_;
   std::vector<std::unique_ptr<AsyncMutex>> lanes_;
-  std::vector<uint64_t> lane_acquisitions_;
   ResultCache cache_;
   Metrics metrics_;
 };

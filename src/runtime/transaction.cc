@@ -2,18 +2,9 @@
 
 #include <set>
 
-#include "common/hash.h"
 #include "common/log.h"
 
 namespace lo::runtime {
-namespace {
-
-uint64_t HashObserved(const Result<std::string>& value) {
-  if (!value.ok()) return 0x9e3779b97f4a7c15ull;  // "absent"
-  return Fnv1a64(*value) ^ 1;
-}
-
-}  // namespace
 
 Transaction::Transaction(Runtime* runtime) : runtime_(runtime) {}
 
@@ -31,7 +22,7 @@ sim::Task<Result<std::string>> Transaction::ReadKey(const std::string& key) {
   Result<std::string> value = runtime_->StorageRead(key, nullptr);
   if (!value.ok() && !value.status().IsNotFound()) co_return value.status();
   // First read of a key pins its observed version for validation.
-  read_hashes_.emplace(key, HashObserved(value));
+  read_hashes_.emplace(key, ObservedValueHash(value));
   co_return value;
 }
 
@@ -94,7 +85,7 @@ sim::Task<Status> Transaction::Commit() {
       unlock_all();
       co_return current.status();
     }
-    if (HashObserved(current) != hash) {
+    if (ObservedValueHash(current) != hash) {
       unlock_all();
       co_return Status::Aborted("transaction read set is stale");
     }

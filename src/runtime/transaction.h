@@ -49,7 +49,6 @@ class Transaction {
   void Abort();
 
   bool committed() const { return committed_; }
-  size_t num_writes() const { return writes_.size(); }
 
  private:
   sim::Task<Result<std::string>> ReadKey(const std::string& key);

@@ -4,7 +4,10 @@
 // consistent result cache.
 #include <gtest/gtest.h>
 
+#include <list>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -555,6 +558,170 @@ TEST(ResultCacheUnit, RemoteInvalidationsCountedSeparately) {
   std::vector<std::string> unrelated = {"missing"};
   cache.InvalidateWrites(unrelated, /*remote=*/true);
   EXPECT_EQ(cache.stats().remote_invalidations, 1u);
+}
+
+// Reference model: the cache's earlier map + multimap implementation,
+// kept as the contract the hashed index must reproduce. Entries by exact
+// key, read key -> dependent cache keys in a multimap, an LRU list of
+// keys. Replacing a live key counts nothing; each entry dropped by a
+// write counts one invalidation.
+class ReferenceResultCache {
+ public:
+  explicit ReferenceResultCache(size_t capacity) : capacity_(capacity) {}
+
+  std::optional<std::string> Lookup(const std::string& key) {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      stats.misses++;
+      return std::nullopt;
+    }
+    stats.hits++;
+    lru_.erase(it->second.lru_pos);
+    it->second.lru_pos = lru_.insert(lru_.end(), key);
+    return it->second.output;
+  }
+
+  void Insert(const std::string& key, std::string output,
+              const std::vector<ReadSetEntry>& reads) {
+    Erase(key);
+    Entry entry{std::move(output), {}, lru_.insert(lru_.end(), key)};
+    for (const auto& read : reads) {
+      by_read_key_.emplace(read.key, key);
+      entry.read_keys.push_back(read.key);
+    }
+    entries_.emplace(key, std::move(entry));
+    stats.insertions++;
+    while (entries_.size() > capacity_) {
+      stats.evictions++;
+      Erase(lru_.front());
+    }
+  }
+
+  void InvalidateWrites(const std::vector<std::string>& written, bool remote) {
+    for (const auto& key : written) {
+      auto [begin, end] = by_read_key_.equal_range(key);
+      std::vector<std::string> victims;
+      for (auto it = begin; it != end; ++it) victims.push_back(it->second);
+      for (const auto& victim : victims) {
+        if (!entries_.contains(victim)) continue;
+        stats.invalidations++;
+        if (remote) stats.remote_invalidations++;
+        Erase(victim);
+      }
+    }
+  }
+
+  void Clear() {
+    entries_.clear();
+    by_read_key_.clear();
+    lru_.clear();
+  }
+  size_t size() const { return entries_.size(); }
+
+  ResultCache::Stats stats;
+
+ private:
+  struct Entry {
+    std::string output;
+    std::vector<std::string> read_keys;
+    std::list<std::string>::iterator lru_pos;
+  };
+  void Erase(std::string key) {  // by value: may be an LRU element
+    auto it = entries_.find(key);
+    if (it == entries_.end()) return;
+    for (const auto& read_key : it->second.read_keys) {
+      auto [begin, end] = by_read_key_.equal_range(read_key);
+      for (auto dep = begin; dep != end; ++dep) {
+        if (dep->second == key) {
+          by_read_key_.erase(dep);
+          break;
+        }
+      }
+    }
+    lru_.erase(it->second.lru_pos);
+    entries_.erase(it);
+  }
+
+  size_t capacity_;
+  std::map<std::string, Entry> entries_;
+  std::multimap<std::string, std::string> by_read_key_;
+  std::list<std::string> lru_;  // front = least recently used
+};
+
+void ExpectSameStats(const ResultCache::Stats& got, const ResultCache::Stats& want) {
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.insertions, want.insertions);
+  EXPECT_EQ(got.invalidations, want.invalidations);
+  EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(got.remote_invalidations, want.remote_invalidations);
+}
+
+// Differential test: random inserts (shared and repeated read keys,
+// re-inserts of live keys), lookups, local and remote invalidations and
+// clears drive ResultCache and the reference model in lockstep; outputs,
+// size and every stat must agree after each operation.
+TEST(ResultCacheUnit, MatchesReferenceModel) {
+  for (uint64_t seed = 1; seed <= 40; seed++) {
+    size_t capacity = 1 + seed % 8;
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", capacity " +
+                 std::to_string(capacity));
+    Rng rng(seed);
+    ResultCache cache(capacity);
+    ReferenceResultCache model(capacity);
+    auto cache_key = [&] { return "k" + std::to_string(rng.Uniform(12)); };
+    // Few read keys share dependents heavily; many spread the hashed
+    // index over more slots (growth, probe chains, deletion shifts).
+    uint64_t read_keys = seed % 2 == 0 ? 10 : 400;
+    auto read_key = [&] { return "r" + std::to_string(rng.Uniform(read_keys)); };
+    for (int op = 0; op < 2000; op++) {
+      uint64_t kind = rng.Uniform(100);
+      if (kind < 45) {
+        std::string key = cache_key();
+        std::string output = "out" + std::to_string(op);
+        std::vector<ReadSetEntry> reads;
+        uint64_t n = rng.Uniform(6);  // may repeat a key within one set
+        for (uint64_t i = 0; i < n; i++) reads.push_back({read_key(), i});
+        cache.Insert(key, output, reads);
+        model.Insert(key, output, reads);
+      } else if (kind < 80) {
+        std::string key = cache_key();
+        ASSERT_EQ(cache.Lookup(key), model.Lookup(key)) << "op " << op;
+      } else if (kind < 99) {
+        std::vector<std::string> written;
+        uint64_t n = 1 + rng.Uniform(3);
+        for (uint64_t i = 0; i < n; i++) written.push_back(read_key());
+        bool remote = rng.Uniform(2) == 1;
+        cache.InvalidateWrites(written, remote);
+        model.InvalidateWrites(written, remote);
+      } else {
+        cache.Clear();
+        model.Clear();
+      }
+      ASSERT_EQ(cache.size(), model.size()) << "op " << op;
+      ExpectSameStats(cache.stats(), model.stats);
+      if (HasFailure()) FAIL() << "op " << op;
+    }
+  }
+}
+
+// A hot read key with many dependents: one write drops every one of them
+// and counts each drop once.
+TEST(ResultCacheUnit, HotKeyWriteDropsAllDependents) {
+  ResultCache cache;
+  for (int i = 0; i < 1000; i++) {
+    std::string key = "k" + std::to_string(i);
+    cache.Insert(key, "v", {{"hot", 1}, {"own" + std::to_string(i), 2}});
+  }
+  cache.Insert("cold", "v", {{"other", 3}});
+  ASSERT_EQ(cache.size(), 1001u);
+  std::vector<std::string> written = {"hot"};
+  cache.InvalidateWrites(written);
+  EXPECT_EQ(cache.stats().invalidations, 1000u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(cache.Lookup("cold").has_value());
+  EXPECT_FALSE(cache.Lookup("k0").has_value());
+  EXPECT_FALSE(cache.Lookup("k999").has_value());
 }
 
 // A replicated batch shipped from a primary (OnExternalCommit) must
